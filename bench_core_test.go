@@ -45,7 +45,7 @@ func coreTrace(n int) []Ref {
 // matcher benchmarks.
 func coreStreams(tb testing.TB) []Stream {
 	p := NewProfile()
-	p.AddAll(coreTrace(100000))
+	p.AddBatch(coreTrace(100000))
 	streams := p.HotStreams(DefaultAnalysisConfig())
 	if len(streams) == 0 {
 		tb.Fatal("no hot streams in benchmark trace")
@@ -59,7 +59,7 @@ func BenchmarkProfileAdd(b *testing.B) {
 	trace := coreTrace(1 << 16)
 	p := NewProfile()
 	// Warm up so the arena, digram table, and interner reach steady state.
-	p.AddAll(trace)
+	p.AddBatch(trace)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -40,7 +40,7 @@ func BenchmarkAddBatch(b *testing.B) {
 				if pos+size > len(trace) {
 					pos = 0
 				}
-				if err := sp.AddBatch(0, trace[pos:pos+size]); err != nil {
+				if err := sp.Shard(0).AddBatch(trace[pos : pos+size]); err != nil {
 					b.Fatal(err)
 				}
 				pos += size
@@ -65,7 +65,7 @@ func BenchmarkAddBatchLossless(b *testing.B) {
 				if pos+size > len(trace) {
 					pos = 0
 				}
-				if err := sp.AddBatch(0, trace[pos:pos+size]); err != nil {
+				if err := sp.Shard(0).AddBatch(trace[pos : pos+size]); err != nil {
 					b.Fatal(err)
 				}
 				pos += size
@@ -97,7 +97,7 @@ func BenchmarkAddBatchBurst(b *testing.B) {
 				if pos+size > len(trace) {
 					pos = 0
 				}
-				if err := sp.AddBatch(0, trace[pos:pos+size]); err != nil {
+				if err := sp.Shard(0).AddBatch(trace[pos : pos+size]); err != nil {
 					b.Fatal(err)
 				}
 				pos += size
@@ -108,28 +108,6 @@ func BenchmarkAddBatchBurst(b *testing.B) {
 				b.Fatal("burst front end shed nothing; sampling not exercised")
 			}
 		})
-	}
-}
-
-// BenchmarkAddBatchAuto measures batched ingestion through shard-per-P
-// placement (AddBatchAuto): the AddBatch path plus one procPin read and an
-// uncontended producer-lock CAS per batch.
-func BenchmarkAddBatchAuto(b *testing.B) {
-	trace := coreTrace(1 << 16)
-	sp := NewShardedProfile(1)
-	defer sp.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	const size = 256
-	pos := 0
-	for i := 0; i < b.N; i += size {
-		if pos+size > len(trace) {
-			pos = 0
-		}
-		if err := sp.AddBatchAuto(trace[pos : pos+size]); err != nil {
-			b.Fatal(err)
-		}
-		pos += size
 	}
 }
 

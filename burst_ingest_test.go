@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hotprefetch/internal/burst"
 )
 
 // burstTestConfig is small enough to cross several awake/hibernate phases
@@ -95,11 +97,36 @@ func TestBurstReconciliation(t *testing.T) {
 	}
 }
 
+// burstModel is the per-reference oracle for the burst gate: a bare
+// controller driven by one Check per reference, admitting a reference
+// exactly when it lands in an awake-phase instrumented burst (§2.2;
+// hibernation bursts are discarded, §2.4), and flipping phase whenever one
+// ends. It shares no code with the shard's Skip fast path.
+func burstModel(cfg BurstConfig, n int) (admitted, shed uint64) {
+	ctl := burst.New(cfg.controllerConfig())
+	for i := 0; i < n; i++ {
+		instrumented, phaseEnded := ctl.Check()
+		if instrumented && ctl.Awake() {
+			admitted++
+		} else {
+			shed++
+		}
+		if phaseEnded {
+			if ctl.Awake() {
+				ctl.Hibernate()
+			} else {
+				ctl.Wake()
+			}
+		}
+	}
+	return admitted, shed
+}
+
 // TestBurstBatchMatchesAdd is the admission-equivalence check for the Skip
-// fast path: the same reference sequence through per-reference Add and
-// through AddBatch in varying chunk sizes must admit exactly the same
-// references (the controller is deterministic), yielding identical push,
-// shed, and grammar accounting.
+// fast path: the same reference sequence through per-reference Add (chunk
+// 1) and through AddBatch in varying chunk sizes must admit exactly the
+// references the per-reference model admits (the controller is
+// deterministic), yielding identical push, shed, and grammar accounting.
 func TestBurstBatchMatchesAdd(t *testing.T) {
 	trace := coreTrace(300000)
 	run := func(chunk int) Stats {
@@ -135,15 +162,19 @@ func TestBurstBatchMatchesAdd(t *testing.T) {
 		}
 		return sp.Stats()
 	}
-	want := run(1)
-	if want.Pushed == 0 || want.BurstShed == 0 {
-		t.Fatalf("degenerate baseline: pushed %d, shed %d", want.Pushed, want.BurstShed)
+	admitted, shed := burstModel(burstTestConfig(), len(trace))
+	if admitted == 0 || shed == 0 {
+		t.Fatalf("degenerate model: admitted %d, shed %d", admitted, shed)
 	}
-	for _, chunk := range []int{7, 64, 256} {
-		got := run(chunk)
-		if got.Pushed != want.Pushed || got.BurstShed != want.BurstShed {
-			t.Errorf("chunk %d: pushed/shed = %d/%d, want %d/%d",
-				chunk, got.Pushed, got.BurstShed, want.Pushed, want.BurstShed)
+	want := run(1)
+	for _, chunk := range []int{1, 7, 64, 256} {
+		got := want
+		if chunk > 1 {
+			got = run(chunk)
+		}
+		if got.Pushed != admitted || got.BurstShed != shed {
+			t.Errorf("chunk %d: pushed/shed = %d/%d, model admits/sheds %d/%d",
+				chunk, got.Pushed, got.BurstShed, admitted, shed)
 		}
 		if got.GrammarSize != want.GrammarSize {
 			t.Errorf("chunk %d: grammar size %d, want %d", chunk, got.GrammarSize, want.GrammarSize)

@@ -211,7 +211,7 @@ func runChaos(t *testing.T, policy IngestPolicy, sc chaosScenario, perShard int)
 				if end > len(trace) {
 					end = len(trace)
 				}
-				if err := sp.AddBatch(i, trace[off:end]); err != nil {
+				if err := sp.Shard(i).AddBatch(trace[off:end]); err != nil {
 					t.Errorf("shard %d AddBatch: %v", i, err)
 					return
 				}
@@ -279,7 +279,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	trace := chaosTrace(1, 4096)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {
@@ -326,7 +326,7 @@ func TestChaosCloseRacesAnalysis(t *testing.T) {
 			defer wg.Done()
 			trace := chaosTrace(i+1, 50_000)
 			for {
-				if err := sp.Shard(i).AddAll(trace); err != nil {
+				if err := sp.Shard(i).AddBatch(trace); err != nil {
 					return // ErrClosed: the race landed
 				}
 			}

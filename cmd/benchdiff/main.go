@@ -11,7 +11,9 @@
 // is reported but passes (refresh the baseline when it sticks). allocs/op
 // is gated in both directions with the same relative band — for the
 // zero-alloc hot paths the band is exactly zero, so a single steady-state
-// allocation appearing is a hard failure.
+// allocation appearing is a hard failure. Every baseline entry must appear
+// in the run: a missing one fails the diff, so drop an entry from the
+// baseline in the same change that deletes or renames its benchmark.
 package main
 
 import (
@@ -223,6 +225,11 @@ func report(w io.Writer, base, current map[string]measure, tol float64) error {
 		len(names)-missing, failed, missing, 100*tol)
 	if failed > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed beyond ±%.0f%%", failed, 100*tol)
+	}
+	// A baseline entry the run did not produce — a deleted, renamed or
+	// filtered-out bench — would otherwise shrink the gate silently.
+	if missing > 0 {
+		return fmt.Errorf("%d baseline benchmark(s) missing from this run", missing)
 	}
 	return nil
 }

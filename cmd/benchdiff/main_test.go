@@ -151,18 +151,25 @@ func TestDiffImprovementPasses(t *testing.T) {
 	}
 }
 
-// TestDiffMissing: a baseline entry absent from the run is reported but not
-// fatal (CI may run a benchmark subset).
+// TestDiffMissing: a baseline entry absent from the run fails the diff even
+// when every other row passes — a deleted or renamed bench must not shrink
+// the gate silently.
 func TestDiffMissing(t *testing.T) {
 	path := writeBaseline(t, `{"benchmarks": {
+		"BenchmarkProfileAdd": {"ns_per_op": 430.0, "allocs_per_op": 0},
 		"BenchmarkNoSuchThing": {"ns_per_op": 10.0, "allocs_per_op": 0}
 	}}`)
 	var out strings.Builder
-	if err := run([]string{"-baseline", path}, strings.NewReader(sampleBench), &out); err != nil {
-		t.Fatalf("run: %v", err)
+	err := run([]string{"-baseline", path}, strings.NewReader(sampleBench), &out)
+	if err == nil || !strings.Contains(err.Error(), "1 baseline benchmark(s) missing") {
+		t.Fatalf("run with a missing baseline bench = %v, want a missing-bench error\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "MISSING") || !strings.Contains(out.String(), "1 missing") {
-		t.Errorf("missing-benchmark row not reported:\n%s", out.String())
+	got := out.String()
+	if !strings.Contains(got, "| BenchmarkNoSuchThing |") || !strings.Contains(got, "MISSING") {
+		t.Errorf("missing-benchmark row not reported:\n%s", got)
+	}
+	if !strings.Contains(got, "1 compared, 0 failed, 1 missing") {
+		t.Errorf("wrong summary:\n%s", got)
 	}
 }
 

@@ -47,7 +47,7 @@ func main() {
 
 	// Static scheme: profile window 0, prefetch those streams forever.
 	static := hotprefetch.NewProfile()
-	static.AddAll(windows[0])
+	static.AddBatch(windows[0])
 	staticStreams := static.HotStreams(cfg)
 
 	fmt.Println("window  phase  static-useful  adaptive-useful  adaptive-streams")
@@ -60,7 +60,7 @@ func main() {
 		// Adaptive scheme: re-profile this window (the awake phase), then
 		// match over it (the hibernation).
 		adaptiveProfile := hotprefetch.NewProfile()
-		adaptiveProfile.AddAll(trace)
+		adaptiveProfile.AddBatch(trace)
 		adaptiveStreams := adaptiveProfile.HotStreams(cfg)
 
 		fmt.Printf("%-7d %-6s %-14d %-16d %d\n",

@@ -22,9 +22,9 @@ func main() {
 
 	profile := hotprefetch.NewProfile()
 	for lap := 0; lap < 50; lap++ {
-		profile.AddAll(listA)
+		profile.AddBatch(listA)
 		profile.Add(noise(rng))
-		profile.AddAll(treeB)
+		profile.AddBatch(treeB)
 		profile.Add(noise(rng))
 	}
 

@@ -235,9 +235,6 @@ func (p *Profile) MintedRules() uint64 {
 	return p.prepass.Minted()
 }
 
-// AddAll appends each reference in order.
-func (p *Profile) AddAll(refs []Ref) { p.AddBatch(refs) }
-
 // Len returns the number of references added so far.
 func (p *Profile) Len() uint64 { return p.grammar.Len() }
 

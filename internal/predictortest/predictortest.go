@@ -55,7 +55,7 @@ func Trace(phase, reps int) []hotprefetch.Ref {
 func Streams(t *testing.T, trace []hotprefetch.Ref) []hotprefetch.Stream {
 	t.Helper()
 	p := hotprefetch.NewProfile()
-	p.AddAll(trace)
+	p.AddBatch(trace)
 	streams := p.HotStreams(hotprefetch.AnalysisConfig{
 		MinLen: 2, MaxLen: 100, MinCoverage: 0.05,
 	})

@@ -338,7 +338,7 @@ func TestStatsInvariantUnderLoad(t *testing.T) {
 				for j := range trace {
 					trace[j].Addr += 1 << 20
 				}
-				if err := sp.AddBatch(shard, trace); err != nil {
+				if err := sp.Shard(shard).AddBatch(trace); err != nil {
 					t.Error(err)
 					return
 				}

@@ -110,7 +110,7 @@ func TestSnapshotRestoreFailureColdFallback(t *testing.T) {
 		t.Fatalf("KindSnapshotLoadFailed count = %d, want 1", n)
 	}
 	// Cold fallback: the profile still profiles from zero.
-	if err := sp.Shard(0).AddAll(phaseTrace(1, 5)); err != nil {
+	if err := sp.Shard(0).AddBatch(phaseTrace(1, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Flush(); err != nil {

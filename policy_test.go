@@ -36,8 +36,8 @@ func TestAddAfterCloseReturnsError(t *testing.T) {
 			if err := sp.Shard(0).Add(Ref{PC: 1, Addr: 2}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("Add after Close = %v, want ErrClosed", err)
 			}
-			if err := sp.Shard(1).AddAll([]Ref{{PC: 1, Addr: 2}}); !errors.Is(err, ErrClosed) {
-				t.Fatalf("AddAll after Close = %v, want ErrClosed", err)
+			if err := sp.Shard(1).AddBatch([]Ref{{PC: 1, Addr: 2}}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("AddBatch after Close = %v, want ErrClosed", err)
 			}
 		})
 	}
@@ -370,7 +370,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	}
 	defer sp.Close()
 	trace := shardTrace(1, 100)
-	if err := sp.Shard(0).AddAll(trace); err != nil {
+	if err := sp.Shard(0).AddBatch(trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Flush(); err != nil {
@@ -454,7 +454,9 @@ func TestParseIngestPolicy(t *testing.T) {
 
 // TestAddBatchMatchesAdd checks batched ingestion is observationally
 // identical to per-reference ingestion: same consumed count, same hot
-// streams.
+// streams. Add is a wrapper over AddBatch, so both are also held to the
+// reference a plain Profile fed the same trace gives (one-shard
+// bit-identity).
 func TestAddBatchMatchesAdd(t *testing.T) {
 	trace := shardTrace(1, 300)
 	cfg := AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.01, MaxStreams: 50}
@@ -466,15 +468,22 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 		if end > len(trace) {
 			end = len(trace)
 		}
-		if err := batched.AddBatch(0, trace[i:end]); err != nil {
+		if err := batched.Shard(0).AddBatch(trace[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	single := NewShardedProfile(1)
 	defer single.Close()
-	if err := single.Shard(0).AddAll(trace); err != nil {
-		t.Fatal(err)
+	for _, r := range trace {
+		if err := single.Shard(0).Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	oracle := NewProfile()
+	for _, r := range trace {
+		oracle.Add(r)
 	}
 
 	if got, want := batched.Len(), single.Len(); got != want {
@@ -483,6 +492,9 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	got, want := batched.HotStreams(cfg), single.HotStreams(cfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("batched HotStreams diverge from per-ref:\n got %v\nwant %v", got, want)
+	}
+	if ref := oracle.HotStreams(cfg); !reflect.DeepEqual(want, ref) {
+		t.Errorf("per-ref HotStreams diverge from a plain Profile:\n got %v\nwant %v", want, ref)
 	}
 }
 
@@ -573,7 +585,7 @@ func TestPipelinedMatchesInline(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sp.Close()
-		if err := sp.AddBatch(0, trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		streams := sp.HotStreams(cycleCfg)
@@ -679,7 +691,7 @@ func TestGrammarSwapRacesAddStats(t *testing.T) {
 				if n > len(trace) {
 					n = len(trace)
 				}
-				if err := sp.AddBatch(i, trace[:n]); err != nil {
+				if err := sp.Shard(i).AddBatch(trace[:n]); err != nil {
 					t.Error(err)
 					return
 				}

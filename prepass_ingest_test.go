@@ -51,7 +51,7 @@ func TestPrepassBankedStreamsEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sp.Close()
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {
@@ -190,7 +190,7 @@ func TestPrepassReconciliation(t *testing.T) {
 				go func(p int) {
 					defer wg.Done()
 					trace := prepassTrace(p+1, reps)
-					if err := sp.Shard(p).AddAll(trace); err != nil {
+					if err := sp.Shard(p).AddBatch(trace); err != nil {
 						t.Error(err)
 						return
 					}
@@ -253,7 +253,7 @@ func TestPrepassBurstComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	if err := sp.Shard(0).AddAll(trace); err != nil {
+	if err := sp.Shard(0).AddBatch(trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Flush(); err != nil {
@@ -293,7 +293,7 @@ func TestPrepassAutoResolution(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sp.Close()
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {

@@ -15,7 +15,6 @@ import (
 	"hotprefetch/internal/burst"
 	"hotprefetch/internal/fault"
 	"hotprefetch/internal/obs"
-	"hotprefetch/internal/procid"
 	"hotprefetch/internal/ring"
 	"hotprefetch/internal/snapshot"
 )
@@ -298,7 +297,7 @@ type ProfileShard struct {
 	spareMisses atomic.Uint64 // cycles that had to allocate a fresh profile
 
 	closed     atomic.Bool
-	pushed     atomic.Uint64 // references accepted by Add
+	pushed     atomic.Uint64 // references accepted into the ring
 	consumed   atomic.Uint64 // references applied to p
 	dropped    atomic.Uint64 // references shed on a full ring (Drop/Sample)
 	sampledOut atomic.Uint64 // references skipped by Sample degradation
@@ -328,10 +327,10 @@ type ProfileShard struct {
 	// because the profile-wide RefQuota was exhausted.
 	quotaShed atomic.Uint64
 
-	// prodLock serializes Auto-placed producers on this shard (AddAuto and
-	// AddBatchAuto): the SPSC ring and the producer-local Sample/burst
-	// state admit one producer at a time, and P-indexed placement cannot
-	// guarantee two goroutines never pick the same shard.
+	// prodLock serializes PublishBatch callers that hash to this shard: the
+	// SPSC ring and the producer-local Sample/burst state admit one
+	// producer at a time, and stream-hashed placement cannot guarantee two
+	// goroutines never pick the same shard.
 	prodLock atomic.Bool
 
 	mu       sync.Mutex // guards retained
@@ -862,26 +861,6 @@ type burstGate struct {
 	phase         atomic.Int32 // mirrors ctl.Phase() for Stats readers
 }
 
-// admitBurst runs one reference through the bursty-sampling controller and
-// reports whether it should reach the ingest policy: only references landing
-// in an awake-phase instrumented burst are admitted (§2.2; hibernation
-// bursts are discarded to avoid trace contamination, §2.4).
-func (s *ProfileShard) admitBurst() bool {
-	bg := s.burst
-	instrumented, phaseEnded := bg.ctl.Check()
-	admit := instrumented && bg.ctl.Awake()
-	if admit {
-		bg.sampled++
-	} else {
-		bg.shed++
-		s.burstShed.Add(1)
-	}
-	if phaseEnded {
-		s.burstPhaseEnd()
-	}
-	return admit
-}
-
 // burstPhaseEnd observes the ended phase's sampling duty, emits the phase
 // event, and flips the controller between awake and hibernating — the
 // self-clocked profile/hibernate alternation of the paper's Figure 3,
@@ -903,96 +882,19 @@ func (s *ProfileShard) burstPhaseEnd() {
 	bg.checksAtStart = bg.ctl.Stats().Checks
 }
 
-// Add appends one data reference to the shard. When the shard's ring is full
-// the configured IngestPolicy decides whether Add waits (Block), sheds the
-// reference (Drop), or degrades to sampled acceptance (Sample); shed
-// references are counted in Stats, never silently lost from the books. With
-// bursty sampling enabled (ShardedConfig.Burst), the reference first passes
-// the burst controller, and the full-rate common case is one counter
-// decrement with no ring traffic at all.
-//
-// Add returns ErrClosed once the profile has been closed — including for a
-// Block Add already spinning against a full ring when Close lands, which
-// previously span forever against stopped consumers.
-func (s *ProfileShard) Add(r Ref) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if q := s.sp.cfg.RefQuota; q > 0 {
-		if s.sp.quotaUsed.Add(1) > q {
-			s.quotaShed.Add(1)
-			return nil
-		}
-	}
-	if s.burst != nil && !s.admitBurst() {
-		return nil
-	}
-	return s.addPolicy(r)
-}
-
-// addPolicy routes one burst-admitted reference through the shard's ingest
-// policy. The caller has already checked closed (Block re-checks while
-// spinning).
-func (s *ProfileShard) addPolicy(r Ref) error {
-	switch s.policy {
-	case Drop:
-		if !s.tryPush(r) {
-			s.dropped.Add(1)
-			return nil
-		}
-	case Sample:
-		if s.degraded {
-			s.skip++
-			if s.skip < s.sampleN {
-				s.sampledOut.Add(1)
-				return nil
-			}
-			s.skip = 0
-		}
-		if !s.tryPush(r) {
-			s.degraded = true
-			s.skip = 0
-			s.dropped.Add(1)
-			return nil
-		}
-		// Leave degraded mode only once the backlog has visibly receded;
-		// exiting on the first successful push would thrash between full
-		// speed and 1-in-N at the boundary.
-		if s.degraded && s.q.Len() <= s.q.Cap()/2 {
-			s.degraded = false
-		}
-	default: // Block
-		for !s.tryPush(r) {
-			if s.closed.Load() {
-				return ErrClosed
-			}
-			runtime.Gosched()
-		}
-	}
-	s.pushed.Add(1)
-	return nil
-}
-
-// AddAll appends each reference in order, stopping at the first error.
-func (s *ProfileShard) AddAll(refs []Ref) error {
-	for _, r := range refs {
-		if err := s.Add(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AddBatch appends a run of references in order, amortizing the ring's
-// release fence and head refresh over the whole run (one tail store per
-// PushBatch instead of one per reference). Policy semantics match Add:
-// Block pushes every reference (returning ErrClosed if the profile closes
-// mid-batch), Drop sheds whatever does not fit the ring, and Sample falls
-// back to per-reference admission because its degradation decisions are made
-// reference by reference. With bursty sampling enabled the batch first runs
-// through the burst controller: checking-phase spans are shed in one O(1)
-// counter subtraction (burst.Controller.Skip), and only the sampled spans
-// touch the ring.
+// AddBatch appends a run of references in order — the shard's one
+// admission path, which Add wraps. A closed profile returns ErrClosed; the
+// profile-wide RefQuota then admits a prefix of the batch; with bursty
+// sampling enabled (ShardedConfig.Burst) the admitted run passes the burst
+// controller, whose checking-phase spans are shed in one O(1) counter
+// subtraction (burst.Controller.Skip) so only sampled spans touch the ring;
+// finally the configured IngestPolicy decides what happens on a full ring:
+// Block waits (returning ErrClosed if the profile closes mid-batch), Drop
+// sheds whatever does not fit, and Sample degrades to 1-in-SampleInterval
+// acceptance. Every shed reference is counted in Stats, never silently lost
+// from the books. The ring's release fence and head refresh are amortized
+// over the whole run (one tail store per PushBatch instead of one per
+// reference).
 func (s *ProfileShard) AddBatch(refs []Ref) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -1010,6 +912,9 @@ func (s *ProfileShard) AddBatch(refs []Ref) error {
 	}
 	return s.pushBatchPolicy(refs)
 }
+
+// Add appends one data reference to the shard; see AddBatch.
+func (s *ProfileShard) Add(r Ref) error { return s.AddBatch([]Ref{r}) }
 
 // admitQuota reserves the batch against the profile-wide reference quota and
 // returns the admitted prefix; the shed suffix is counted in quotaShed. The
@@ -1031,8 +936,9 @@ func (s *ProfileShard) admitQuota(refs []Ref) []Ref {
 	return refs[:uint64(len(refs))-over]
 }
 
-// pushBatchPolicy routes a burst-admitted run of references through the
-// shard's ingest policy; see AddBatch for the per-policy semantics.
+// pushBatchPolicy routes a quota- and burst-admitted run of references
+// through the shard's ingest policy; see AddBatch for the per-policy
+// semantics.
 func (s *ProfileShard) pushBatchPolicy(refs []Ref) error {
 	switch s.policy {
 	case Drop:
@@ -1042,12 +948,32 @@ func (s *ProfileShard) pushBatchPolicy(refs []Ref) error {
 			s.dropped.Add(uint64(len(refs) - n))
 		}
 	case Sample:
+		// Degradation is decided reference by reference: while degraded,
+		// only every sampleN-th reference attempts the ring.
 		for _, r := range refs {
 			if s.closed.Load() {
 				return ErrClosed
 			}
-			if err := s.addPolicy(r); err != nil {
-				return err
+			if s.degraded {
+				s.skip++
+				if s.skip < s.sampleN {
+					s.sampledOut.Add(1)
+					continue
+				}
+				s.skip = 0
+			}
+			if !s.tryPush(r) {
+				s.degraded = true
+				s.skip = 0
+				s.dropped.Add(1)
+				continue
+			}
+			s.pushed.Add(1)
+			// Leave degraded mode only once the backlog has visibly
+			// receded; exiting on the first successful push would thrash
+			// between full speed and 1-in-N at the boundary.
+			if s.degraded && s.q.Len() <= s.q.Cap()/2 {
+				s.degraded = false
 			}
 		}
 	default: // Block
@@ -1120,54 +1046,6 @@ func (s *ProfileShard) addBatchBurst(refs []Ref) error {
 	return flush(len(refs))
 }
 
-// AddBatch appends a run of references to shard i; see ProfileShard.AddBatch.
-func (sp *ShardedProfile) AddBatch(i int, refs []Ref) error {
-	return sp.shards[i].AddBatch(refs)
-}
-
-// lockProducer claims the shard's Auto-producer slot, spinning with
-// scheduler yields; unlockProducer releases it. Uncontended in the steady
-// state — each P's producers route to their own shard — so the common cost
-// is one uncontended CAS.
-func (s *ProfileShard) lockProducer() {
-	for !s.prodLock.CompareAndSwap(false, true) {
-		runtime.Gosched()
-	}
-}
-
-func (s *ProfileShard) unlockProducer() { s.prodLock.Store(false) }
-
-// AddAuto appends one reference to the shard indexed by the caller's P
-// (GOMAXPROCS slot, modulo the shard count) — shard-per-P placement that
-// needs no per-producer handle plumbing and keeps same-P producers on the
-// same cache-warm shard. Because P indices are placement hints, not
-// ownership, concurrent AddAuto callers that land on the same shard are
-// serialized by a per-shard producer lock; do not mix Auto calls with
-// direct Shard(i) producers on the same profile.
-//
-// A goroutine that migrates between Ps mid-trace splits its reference
-// sequence across shards, which weakens per-shard stream detection (see
-// the ShardedProfile contract); prefer AddBatchAuto, which keeps each
-// batch whole on one shard, when tracing with Auto placement.
-func (sp *ShardedProfile) AddAuto(r Ref) error {
-	s := sp.shards[procid.Get()%len(sp.shards)]
-	s.lockProducer()
-	err := s.Add(r)
-	s.unlockProducer()
-	return err
-}
-
-// AddBatchAuto appends a run of references to the shard indexed by the
-// caller's P; see AddAuto for the placement contract. The whole batch lands
-// on one shard, so intra-batch regularity is never split.
-func (sp *ShardedProfile) AddBatchAuto(refs []Ref) error {
-	s := sp.shards[procid.Get()%len(sp.shards)]
-	s.lockProducer()
-	err := s.AddBatch(refs)
-	s.unlockProducer()
-	return err
-}
-
 // mix64 is the splitmix64 finalizer, used to spread stream identifiers over
 // shards without clustering on sequential ids.
 func mix64(x uint64) uint64 {
@@ -1186,13 +1064,16 @@ func mix64(x uint64) uint64 {
 // the ShardedProfile contract); distinct streams spread over shards.
 //
 // Do not mix PublishBatch with direct Shard(i) producers on the same
-// profile — like AddAuto, it shares the per-shard producer lock, which
-// direct shard producers bypass.
+// profile: direct shard producers bypass the per-shard producer lock. The
+// lock is uncontended while each stream's publisher is the only one on its
+// shard, so the common cost is one uncontended CAS.
 func (sp *ShardedProfile) PublishBatch(stream uint64, refs []Ref) error {
 	s := sp.shards[mix64(stream)%uint64(len(sp.shards))]
-	s.lockProducer()
+	for !s.prodLock.CompareAndSwap(false, true) {
+		runtime.Gosched()
+	}
 	err := s.AddBatch(refs)
-	s.unlockProducer()
+	s.prodLock.Store(false)
 	return err
 }
 

@@ -36,7 +36,7 @@ func TestShardedProfileConcurrentProducers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sp.Shard(i).AddAll(traces[i])
+			sp.Shard(i).AddBatch(traces[i])
 		}(i)
 	}
 	wg.Wait()
@@ -72,11 +72,11 @@ func TestShardedProfileSingleShardEquivalence(t *testing.T) {
 	trace := shardTrace(1, 300)
 
 	want := NewProfile()
-	want.AddAll(trace)
+	want.AddBatch(trace)
 
 	sp := NewShardedProfile(1)
 	defer sp.Close()
-	sp.Shard(0).AddAll(trace)
+	sp.Shard(0).AddBatch(trace)
 	sp.Flush()
 
 	if got, w := sp.Len(), want.Len(); got != w {
@@ -120,8 +120,8 @@ func TestShardedProfileMergeOrdering(t *testing.T) {
 func TestShardedProfileCloseDrains(t *testing.T) {
 	sp := NewShardedProfile(2)
 	trace := shardTrace(1, 100)
-	sp.Shard(0).AddAll(trace)
-	sp.Shard(1).AddAll(trace)
+	sp.Shard(0).AddBatch(trace)
+	sp.Shard(1).AddBatch(trace)
 	sp.Close()
 	sp.Close() // idempotent
 	if got, want := sp.Len(), uint64(2*len(trace)); got != want {
@@ -132,7 +132,7 @@ func TestShardedProfileCloseDrains(t *testing.T) {
 func TestConcurrentMatcherRace(t *testing.T) {
 	p := NewProfile()
 	trace := shardTrace(1, 300)
-	p.AddAll(trace)
+	p.AddBatch(trace)
 	streams := p.HotStreams(AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1})
 	if len(streams) == 0 {
 		t.Fatal("no hot streams to match")
@@ -177,7 +177,7 @@ func TestConcurrentMatcherRace(t *testing.T) {
 func TestConcurrentMatcherMatchesSequential(t *testing.T) {
 	p := NewProfile()
 	trace := shardTrace(2, 300)
-	p.AddAll(trace)
+	p.AddBatch(trace)
 	streams := p.HotStreams(AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.1})
 	if len(streams) == 0 {
 		t.Fatal("no hot streams to match")
@@ -209,7 +209,7 @@ func TestMatcherHotSwapRacesObserve(t *testing.T) {
 	traceA, traceB := shardTrace(1, 300), shardTrace(2, 300)
 	analyze := func(trace []Ref) []Stream {
 		p := NewProfile()
-		p.AddAll(trace)
+		p.AddBatch(trace)
 		streams := p.HotStreams(cfg)
 		if len(streams) == 0 {
 			t.Fatal("no hot streams to match")

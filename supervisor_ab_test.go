@@ -65,7 +65,7 @@ func abTrace(phase, reps int) []hotprefetch.Ref {
 func feedCycle(t *testing.T, sp *hotprefetch.ShardedProfile, trace []hotprefetch.Ref, base uint64) {
 	t.Helper()
 	for i := 0; i < 200; i++ {
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {

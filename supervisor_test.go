@@ -29,7 +29,7 @@ func phaseTrace(phase, reps int) []Ref {
 func feedUntilCycle(t *testing.T, sp *ShardedProfile, trace []Ref, base uint64) {
 	t.Helper()
 	for i := 0; i < 200; i++ {
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := sp.Flush(); err != nil {
@@ -201,7 +201,7 @@ func TestSupervisorForcedStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	if err := sp.Shard(0).AddAll(trace); err != nil {
+	if err := sp.Shard(0).AddBatch(trace); err != nil {
 		t.Fatal(err)
 	}
 	streams, err := sp.HotStreamsErr(analysis)
@@ -280,7 +280,7 @@ func TestSupervisorBackgroundLoop(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("background loop never optimized; state=%v stats=%v", sup.State(), sp.Stats())
 		}
-		if err := sp.Shard(0).AddAll(trace); err != nil {
+		if err := sp.Shard(0).AddBatch(trace); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
