@@ -12,7 +12,7 @@ import (
 	"hotprefetch/internal/stats"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden CSV files from a fresh run")
+var update = flag.Bool("update", false, "rewrite the golden files from a fresh run")
 
 // TestFigureCSVGolden is the conformance test for the -format csv output the
 // paper-reproduction scripts consume: the Figure 11 and Figure 12 exports
@@ -107,5 +107,42 @@ func compareCSV(t *testing.T, want, got string) {
 				t.Fatalf("row %d column %d: %q is not a sane percentage", i, j, gotCells[j])
 			}
 		}
+	}
+}
+
+// TestAblationTextGolden holds the text reports of the trace-replay studies
+// byte for byte to their goldens: each is deterministic per seed and runs in
+// seconds, so any change to capture, analysis or a predictor shows up as a
+// diff here. Run with -update to bless an intentional shift, and explain it
+// in EXPERIMENTS.md.
+func TestAblationTextGolden(t *testing.T) {
+	for _, a := range ablations {
+		switch a.name {
+		case "predictors", "stability", "motivation", "sampling", "prepass":
+		default:
+			continue
+		}
+		t.Run(a.name, func(t *testing.T) {
+			out, err := a.run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := out + "\n" // main prints each report with Println
+			golden := filepath.Join("testdata", a.name+".txt")
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("updated %s", golden)
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("%s report differs from %s\ngot:\n%s\nwant:\n%s", a.name, golden, got, want)
+			}
+		})
 	}
 }
