@@ -120,12 +120,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Ref is a single captured data reference: the program counter of the load
-// or store and the address it touched. It mirrors the service's reference
-// type so applications can batch captures without importing anything else.
-type Ref struct {
-	PC   int
-	Addr uint64
-}
+// or store and the address it touched. It is the service's reference type,
+// so applications can batch captures without importing anything else.
+type Ref = ref.Ref
 
 // Stats counts a Capture's activity. All fields are cumulative.
 type Stats struct {
@@ -201,8 +198,8 @@ func New(cfg Config) (*Capture, error) {
 		return nil, fmt.Errorf("client: bad ingest URL: %w", err)
 	}
 	c := &Capture{
-		cfg: cfg,
-		url: u,
+		cfg:     cfg,
+		url:     u,
 		buf:     make([]ref.Ref, 0, cfg.BufferRefs),
 		pending: make(chan []ref.Ref, cfg.MaxPending),
 		done:    make(chan struct{}),
@@ -257,9 +254,7 @@ func (c *Capture) AddBatch(refs []Ref) {
 		if n > len(refs) {
 			n = len(refs)
 		}
-		for _, r := range refs[:n] {
-			c.buf = append(c.buf, ref.Ref{PC: r.PC, Addr: r.Addr})
-		}
+		c.buf = append(c.buf, refs[:n]...)
 		refs = refs[n:]
 		if len(c.buf) >= c.cfg.BufferRefs {
 			batches = append(batches, c.buf)

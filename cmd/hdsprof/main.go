@@ -48,9 +48,10 @@ func (c *collector) Check(pc int) (machine.Version, uint64) {
 }
 
 func (c *collector) TraceRef(pc int, addr machine.Word, isWrite bool) uint64 {
-	c.profile.Add(hotprefetch.Ref{PC: pc, Addr: addr})
+	r := ref.Ref{PC: pc, Addr: addr}
+	c.profile.Add(r)
 	if c.keepRaw {
-		c.raw = append(c.raw, ref.Ref{PC: pc, Addr: addr})
+		c.raw = append(c.raw, r)
 	}
 	c.budget--
 	if c.budget <= 0 || c.stop.Load() {
@@ -146,7 +147,7 @@ func run(args []string, out io.Writer) error {
 			if col.stop.Load() {
 				break
 			}
-			profile.Add(hotprefetch.Ref{PC: r.PC, Addr: r.Addr})
+			profile.Add(r)
 			if col.keepRaw {
 				col.raw = append(col.raw, r)
 			}
@@ -257,7 +258,7 @@ func replayPredictors(out io.Writer, names []string, streams []hotprefetch.Strea
 		p.EnableAccuracyTracking(0)
 		var comparisons uint64
 		for _, r := range raw {
-			_, cmp := p.Observe(hotprefetch.Ref{PC: r.PC, Addr: r.Addr})
+			_, cmp := p.Observe(r)
 			comparisons += uint64(cmp)
 		}
 		issued, hits := p.AccuracyCounters()
@@ -284,11 +285,7 @@ func replayPredictors(out io.Writer, names []string, streams []hotprefetch.Strea
 func writeDOT(w io.Writer, streams []hotprefetch.Stream, headLen int) error {
 	split := make([]dfsm.Stream, 0, len(streams))
 	for _, s := range streams {
-		rs := make([]ref.Ref, len(s.Refs))
-		for i, r := range s.Refs {
-			rs[i] = ref.Ref{PC: r.PC, Addr: r.Addr}
-		}
-		split = append(split, dfsm.Split(rs, s.Heat, headLen))
+		split = append(split, dfsm.Split(s.Refs, s.Heat, headLen))
 	}
 	return dfsm.Build(split, headLen).WriteDOT(w)
 }

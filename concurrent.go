@@ -192,14 +192,18 @@ func (c *ConcurrentMatcher) Predictor() string { return c.cur.Load().name }
 
 // EnableAccuracyTracking turns on prefetch accuracy accounting on the
 // current predictor and every instance installed by future Swaps; see
-// Matcher.EnableAccuracyTracking. window <= 0 means 4096.
+// Matcher.EnableAccuracyTracking. window <= 0 means 4096. Once tracking is
+// on, a further call changes nothing: the books and the window stay, so
+// AccuracyCounters never goes backwards.
 func (c *ConcurrentMatcher) EnableAccuracyTracking(window int) {
 	if window <= 0 {
 		window = 4096
 	}
 	c.buildMu.Lock()
 	defer c.buildMu.Unlock()
-	c.trackWindow.Store(int64(window))
+	if !c.trackWindow.CompareAndSwap(0, int64(window)) {
+		return
+	}
 	c.mu.Lock()
 	c.cur.Load().p.EnableAccuracyTracking(window)
 	c.mu.Unlock()

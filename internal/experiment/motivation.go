@@ -64,7 +64,7 @@ func Motivation(params []workload.Params, profileRefs int) ([]MotivationResult, 
 	cache := workload.CacheConfig()
 	out := make([]MotivationResult, 0, len(params))
 	for _, p := range params {
-		streams, err := collectStreams(p, profileRefs)
+		streams, err := profileStreams(p, profileRefs)
 		if err != nil {
 			return nil, fmt.Errorf("%s profile: %w", p.Name, err)
 		}
@@ -79,7 +79,7 @@ func Motivation(params []workload.Params, profileRefs int) ([]MotivationResult, 
 		m := inst.NewMachine(cache, false)
 		obs := &shareObserver{blocks: map[uint64]bool{}, h: m.Cache}
 		for _, s := range streams {
-			for _, r := range s {
+			for _, r := range s.Refs {
 				obs.blocks[m.Cache.Block(r.Addr)] = true
 			}
 		}
@@ -101,11 +101,4 @@ func Motivation(params []workload.Params, profileRefs int) ([]MotivationResult, 
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -53,24 +53,16 @@ type PrepassResult struct {
 const prepassChunk = 256
 
 // analyzeTracePrepass compresses a reference sequence through the two-level
-// front end and extracts its hot streams as pc sequences, also returning
-// the collapse count and grammar size. The prepass grammar's expansion is
-// verified against the input before analysis: a mismatch is a contract
-// violation, not a quality degradation, and fails the whole comparison.
-func analyzeTracePrepass(trace []ref.Ref, cfg hotds.Config, pcfg sequitur.PrepassConfig) ([]pcStream, uint64, int, error) {
+// front end and extracts its hot streams, also returning the collapse count
+// and grammar size. The prepass grammar's expansion is verified against the
+// input before analysis: a mismatch is a contract violation, not a quality
+// degradation, and fails the whole comparison.
+func analyzeTracePrepass(trace []ref.Ref, cfg hotds.Config, pcfg sequitur.PrepassConfig) ([]ref.Stream, uint64, int, error) {
+	in, vals := internTrace(trace)
 	g := sequitur.New()
-	in := ref.NewInterner()
-	vals := make([]uint64, len(trace))
-	for i, r := range trace {
-		vals[i] = uint64(in.Intern(r))
-	}
 	p := sequitur.NewPrepass(g, pcfg)
 	for lo := 0; lo < len(vals); lo += prepassChunk {
-		hi := lo + prepassChunk
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		p.Append(vals[lo:hi])
+		p.Append(vals[lo:min(lo+prepassChunk, len(vals))])
 	}
 	got := g.Snapshot().Expand(0)
 	if len(got) != len(vals) {
@@ -81,16 +73,7 @@ func analyzeTracePrepass(trace []ref.Ref, cfg hotds.Config, pcfg sequitur.Prepas
 			return nil, 0, 0, fmt.Errorf("prepass expansion differs at %d: %d != %d", i, got[i], vals[i])
 		}
 	}
-	infos := hotds.Analyze(g.Snapshot(), cfg)
-	out := make([]pcStream, len(infos))
-	for i, info := range infos {
-		pcs := make([]int, len(info.Word))
-		for j, sym := range info.Word {
-			pcs[j] = in.Ref(ref.Symbol(sym)).PC
-		}
-		out[i] = pcStream{pcs: pcs, heat: info.Heat}
-	}
-	return out, p.Collapsed(), g.Size(), nil
+	return hotStreams(g, in, cfg), p.Collapsed(), g.Size(), nil
 }
 
 // PrepassComparison profiles each benchmark's trace losslessly and through
@@ -113,58 +96,11 @@ func PrepassComparison(params []workload.Params, refs int, pcfg sequitur.Prepass
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 
-		full := analyzeTrace(trace, acfg)
-		var losslessSymbols int
-		{
-			g := sequitur.New()
-			in := ref.NewInterner()
-			vals := make([]uint64, len(trace))
-			for i, r := range trace {
-				vals[i] = uint64(in.Intern(r))
-			}
-			g.AppendRun(vals)
-			losslessSymbols = g.Size()
-		}
+		full, losslessSymbols := analyzeTrace(trace, acfg)
 		pre, collapsed, preSymbols, err := analyzeTracePrepass(trace, acfg, pcfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
-
-		matched := func(l pcStream) bool {
-			for _, s := range pre {
-				if streamsMatch(l, s) {
-					return true
-				}
-			}
-			return false
-		}
-		top := full
-		if len(top) > 10 {
-			top = top[:10]
-		}
-		topHit := 0
-		for _, l := range top {
-			if matched(l) {
-				topHit++
-			}
-		}
-		var heatTotal, heatHit uint64
-		for _, l := range full {
-			heatTotal += l.heat
-			if matched(l) {
-				heatHit += l.heat
-			}
-		}
-		precHit := 0
-		for _, s := range pre {
-			for _, l := range full {
-				if streamsMatch(l, s) {
-					precHit++
-					break
-				}
-			}
-		}
-
 		r := PrepassResult{
 			Name:            p.Name,
 			TotalRefs:       len(trace),
@@ -177,15 +113,7 @@ func PrepassComparison(params []workload.Params, refs int, pcfg sequitur.Prepass
 		if len(trace) > 0 {
 			r.CollapseRatio = float64(collapsed) / float64(len(trace))
 		}
-		if len(top) > 0 {
-			r.TopRecall = float64(topHit) / float64(len(top))
-		}
-		if heatTotal > 0 {
-			r.HeatRecall = float64(heatHit) / float64(heatTotal)
-		}
-		if len(pre) > 0 {
-			r.Precision = float64(precHit) / float64(len(pre))
-		}
+		r.TopRecall, r.HeatRecall, r.Precision = streamAgreement(full, pre)
 		out = append(out, r)
 	}
 	return out, nil

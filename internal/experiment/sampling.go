@@ -13,13 +13,9 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"hotprefetch/internal/burst"
-	"hotprefetch/internal/hotds"
-	"hotprefetch/internal/machine"
 	"hotprefetch/internal/ref"
-	"hotprefetch/internal/sequitur"
 	"hotprefetch/internal/workload"
 )
 
@@ -46,84 +42,6 @@ type SamplingResult struct {
 	Precision  float64
 }
 
-// rawCollector captures the first `budget` raw data references of a run.
-type rawCollector struct {
-	refs   []ref.Ref
-	budget int
-	m      *machine.Machine
-}
-
-func (c *rawCollector) Check(pc int) (machine.Version, uint64) {
-	return machine.VersionInstrumented, 0
-}
-
-func (c *rawCollector) TraceRef(pc int, addr machine.Word, isWrite bool) uint64 {
-	c.refs = append(c.refs, ref.Ref{PC: pc, Addr: addr})
-	c.budget--
-	if c.budget <= 0 {
-		c.m.Yield()
-	}
-	return 0
-}
-
-func (c *rawCollector) Match(pc int, addr machine.Word) ([]machine.Word, uint64) {
-	return nil, 0
-}
-
-// CaptureTrace runs the benchmark and returns its first `refs` data
-// references. The root package's differential predictor tests replay these
-// traces, so capture is exported rather than duplicated there.
-func CaptureTrace(p workload.Params, refs int) ([]ref.Ref, error) {
-	return captureInstanceTrace(workload.Build(p), refs)
-}
-
-// captureInstanceTrace is CaptureTrace over an already-built workload
-// instance (the extended workloads are built by name, not Params).
-func captureInstanceTrace(inst *workload.Instance, refs int) ([]ref.Ref, error) {
-	m := inst.NewMachine(workload.CacheConfig(), true)
-	col := &rawCollector{refs: make([]ref.Ref, 0, refs), budget: refs, m: m}
-	m.RT = col
-	m.Start()
-	for col.budget > 0 {
-		st, err := m.Run(0)
-		if err != nil {
-			return nil, err
-		}
-		if st == machine.Halted {
-			break
-		}
-	}
-	return col.refs, nil
-}
-
-// pcStream is one detected hot stream reduced to its instruction sequence.
-type pcStream struct {
-	pcs  []int
-	heat uint64
-}
-
-// analyzeTrace compresses a reference sequence and extracts its hot
-// streams as pc sequences.
-func analyzeTrace(trace []ref.Ref, cfg hotds.Config) []pcStream {
-	g := sequitur.New()
-	in := ref.NewInterner()
-	vals := make([]uint64, len(trace))
-	for i, r := range trace {
-		vals[i] = uint64(in.Intern(r))
-	}
-	g.AppendRun(vals)
-	infos := hotds.Analyze(g.Snapshot(), cfg)
-	out := make([]pcStream, len(infos))
-	for i, info := range infos {
-		pcs := make([]int, len(info.Word))
-		for j, sym := range info.Word {
-			pcs[j] = in.Ref(ref.Symbol(sym)).PC
-		}
-		out[i] = pcStream{pcs: pcs, heat: info.Heat}
-	}
-	return out
-}
-
 // sampleTrace runs the trace through a bursty-tracing controller and
 // returns the references admitted during awake instrumented bursts.
 func sampleTrace(trace []ref.Ref, cfg burst.Config) []ref.Ref {
@@ -143,39 +61,6 @@ func sampleTrace(trace []ref.Ref, cfg burst.Config) []ref.Ref {
 		}
 	}
 	return out
-}
-
-// sig renders a pc sequence with full-token delimiters (",1,12,"), so
-// substring containment can never match across token boundaries.
-func sig(pcs []int) string {
-	var b strings.Builder
-	b.WriteByte(',')
-	for _, pc := range pcs {
-		fmt.Fprintf(&b, "%d,", pc)
-	}
-	return b.String()
-}
-
-// doubled renders two periods of the sequence (",1,12,1,12,"), the search
-// space for cyclic fragments.
-func doubled(pcs []int) string {
-	var b strings.Builder
-	b.WriteByte(',')
-	for i := 0; i < 2; i++ {
-		for _, pc := range pcs {
-			fmt.Fprintf(&b, "%d,", pc)
-		}
-	}
-	return b.String()
-}
-
-// streamsMatch reports whether a sampled stream rediscovers a lossless one:
-// the sampled pc sequence is a cyclic fragment of the lossless stream (a
-// contiguous window of its repetition, any phase, up to two periods long)
-// or contains the whole lossless sequence.
-func streamsMatch(lossless, sampled pcStream) bool {
-	return strings.Contains(doubled(lossless.pcs), sig(sampled.pcs)) ||
-		strings.Contains(sig(sampled.pcs), sig(lossless.pcs))
 }
 
 // SamplingComparison profiles each benchmark's trace losslessly and through
@@ -202,47 +87,8 @@ func SamplingComparison(params []workload.Params, refs int, bcfg burst.Config) (
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		sampled := sampleTrace(trace, bcfg)
-
-		full := analyzeTrace(trace, acfg)
-		samp := analyzeTrace(sampled, acfg)
-
-		matched := func(l pcStream) bool {
-			for _, s := range samp {
-				if streamsMatch(l, s) {
-					return true
-				}
-			}
-			return false
-		}
-
-		// hotds.Analyze emits hottest-first, so full[:10] is the top set.
-		top := full
-		if len(top) > 10 {
-			top = top[:10]
-		}
-		topHit := 0
-		for _, l := range top {
-			if matched(l) {
-				topHit++
-			}
-		}
-		var heatTotal, heatHit uint64
-		for _, l := range full {
-			heatTotal += l.heat
-			if matched(l) {
-				heatHit += l.heat
-			}
-		}
-		precHit := 0
-		for _, s := range samp {
-			for _, l := range full {
-				if streamsMatch(l, s) {
-					precHit++
-					break
-				}
-			}
-		}
-
+		full, _ := analyzeTrace(trace, acfg)
+		samp, _ := analyzeTrace(sampled, acfg)
 		r := SamplingResult{
 			Name:            p.Name,
 			TotalRefs:       len(trace),
@@ -253,15 +99,7 @@ func SamplingComparison(params []workload.Params, refs int, bcfg burst.Config) (
 		if len(trace) > 0 {
 			r.Rate = float64(len(sampled)) / float64(len(trace))
 		}
-		if len(top) > 0 {
-			r.TopRecall = float64(topHit) / float64(len(top))
-		}
-		if heatTotal > 0 {
-			r.HeatRecall = float64(heatHit) / float64(heatTotal)
-		}
-		if len(samp) > 0 {
-			r.Precision = float64(precHit) / float64(len(samp))
-		}
+		r.TopRecall, r.HeatRecall, r.Precision = streamAgreement(full, samp)
 		out = append(out, r)
 	}
 	return out, nil

@@ -179,6 +179,31 @@ func Conformance(t *testing.T, name string, streams []hotprefetch.Stream, trace 
 		}
 	})
 
+	t.Run("re-enable-keeps-books", func(t *testing.T) {
+		// Enabling tracking again (as Supervise does unconditionally) keeps
+		// the live ledger: cumulative counters never go backwards.
+		p, err := hotprefetch.NewPredictor(name, streams, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.EnableAccuracyTracking(0)
+		var lastIssued, lastHits uint64
+		for round := 0; round < 3; round++ {
+			record(p, trace)
+			issued, hits := p.AccuracyCounters()
+			if issued <= lastIssued || hits < lastHits {
+				t.Fatalf("round %d: counters (%d, %d) after (%d, %d): ledger did not keep counting",
+					round, issued, hits, lastIssued, lastHits)
+			}
+			p.EnableAccuracyTracking(8)
+			if i, h := p.AccuracyCounters(); i != issued || h != hits {
+				t.Fatalf("round %d: re-enable moved counters (%d, %d) to (%d, %d)",
+					round, issued, hits, i, h)
+			}
+			lastIssued, lastHits = issued, hits
+		}
+	})
+
 	t.Run("tracking-off-counters-zero", func(t *testing.T) {
 		// Without EnableAccuracyTracking the counters stay zero — the
 		// ledger is opt-in so the zero-alloc observe path stays untouched.

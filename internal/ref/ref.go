@@ -146,3 +146,12 @@ type Stream struct {
 
 // Len returns the number of references in the stream.
 func (s Stream) Len() int { return len(s.Refs) }
+
+// Coverage returns the fraction of a trace of traceLen references this
+// stream accounts for.
+func (s Stream) Coverage(traceLen uint64) float64 {
+	if traceLen == 0 {
+		return 0
+	}
+	return float64(s.Heat) / float64(traceLen)
+}

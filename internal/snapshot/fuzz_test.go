@@ -26,7 +26,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	full := valid(&Profile{
 		Generation: 3,
 		CreatedAt:  1754700000000000000,
-		Streams: []Stream{
+		Streams: []ref.Stream{
 			{Refs: []ref.Ref{{PC: 10, Addr: 4096}, {PC: 18, Addr: 4128}}, Heat: 64},
 			{Refs: []ref.Ref{{PC: 7, Addr: 1 << 33}}, Heat: 2},
 		},

@@ -23,12 +23,6 @@ import (
 	"hotprefetch/internal/ref"
 )
 
-// Stream is one hot data stream used to seed the table; see New.
-type Stream struct {
-	Refs []ref.Ref
-	Heat uint64
-}
-
 // Config sizes the table and shapes issue behavior.
 type Config struct {
 	// Entries is the stream-table size (default 16). Lookup is a linear
@@ -116,7 +110,7 @@ type Predictor struct {
 
 	// seeds retains the training streams so Reset can restore the exact
 	// post-New table state.
-	seeds []Stream
+	seeds []ref.Stream
 }
 
 // New builds a predictor and seeds its table by replaying the hot streams'
@@ -126,7 +120,7 @@ type Predictor struct {
 // observation — matching the other predictors' deoptimized behavior rather
 // than free-running stride detection, so swapping in an empty set disables
 // prefetching across every predictor uniformly.
-func New(streams []Stream, cfg Config) (*Predictor, error) {
+func New(streams []ref.Stream, cfg Config) (*Predictor, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err

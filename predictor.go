@@ -1,255 +1,71 @@
 package hotprefetch
 
 import (
-	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
-	"hotprefetch/internal/markov"
+	"hotprefetch/internal/predict"
 	"hotprefetch/internal/ref"
-	"hotprefetch/internal/stride"
 )
 
-// Predictor is one point in the prefetch-predictor design space: it consumes
-// the reference stream one observation at a time and returns the addresses
-// worth prefetching plus the detection cost the observation paid (the
-// DFSM's comparison count, a Markov table's probe count, a stride table's
-// CAM occupancy — always >= 1).
-//
-// Training happens at construction (see NewPredictor): a predictor is built
-// over a hot-stream set and is immutable apart from its rolling match state,
-// which Reset returns to the start. Built over an empty stream set, every
-// implementation must behave as pass-through — no prefetch ever, one
-// comparison per observation — because that is the deoptimized state the
-// Supervisor swaps in (§5).
-//
-// Implementations follow Matcher's contracts: not safe for concurrent use
-// (wrap in ConcurrentMatcher), returned prefetch slices alias internal state
-// and are valid only until the next Observe, and accuracy accounting uses
-// the same FIFO-window issued/hits ledger so A/B comparisons across
-// predictors measure the same thing.
-type Predictor interface {
-	Observe(r Ref) (prefetch []uint64, comparisons int)
-	Reset()
-	EnableAccuracyTracking(window int)
-	AccuracyCounters() (issued, hits uint64)
-}
+// Ref is a single data reference: the program counter of a load or store
+// and the address it touched (paper §2.1).
+type Ref = ref.Ref
+
+// Stream is a hot data stream: a reference sequence that frequently repeats
+// in the same order, with its regularity magnitude Heat = length ×
+// frequency (paper §2.3). Coverage(traceLen) is the fraction of a trace of
+// traceLen references the stream accounts for.
+type Stream = ref.Stream
+
+// Predictor is one point in the prefetch-predictor design space: Observe
+// consumes one reference and returns the addresses worth prefetching plus
+// the detection cost it paid. Training happens at construction (see
+// NewPredictor); an empty stream set yields the pass-through predictor the
+// Supervisor swaps in when it deoptimizes (§5). Implementations are not
+// safe for concurrent use (wrap them in ConcurrentMatcher) and all share
+// one FIFO-window accuracy ledger; see internal/predict for the full
+// contract.
+type Predictor = predict.Predictor
 
 // AccuracyBooks is optionally implemented by predictors whose accuracy
-// tracker exposes its full ledger. The books balance exactly:
-// issued == hits + outstanding + dropped (dropped covers FIFO evictions and
-// issues coalesced with an already-outstanding address). The conformance
-// and fuzz suites assert this invariant; all registered predictors
-// implement it.
-type AccuracyBooks interface {
-	AccuracyBooks() (issued, hits, outstanding, dropped uint64)
-}
-
-// AccuracyBooks exposes the matcher's tracker ledger; see the AccuracyBooks
-// interface.
-func (m *Matcher) AccuracyBooks() (issued, hits, outstanding, dropped uint64) {
-	return m.m.HitBooks()
-}
+// tracker exposes its full ledger; the books balance exactly:
+// issued == hits + outstanding + dropped.
+type AccuracyBooks = predict.AccuracyBooks
 
 // PredictorFactory builds a trained predictor over a hot-stream set.
-// headLen is the stream head length in references (see NewMatcher);
-// implementations that have no prefix/suffix split are free to ignore it.
-// An empty or nil stream set must yield a pass-through predictor, not an
+// headLen is the stream head length in references (see NewMatcher). An
+// empty or nil stream set must yield a pass-through predictor, not an
 // error.
-type PredictorFactory func(streams []Stream, headLen int) (Predictor, error)
+type PredictorFactory = predict.Factory
 
-var (
-	predictorMu  sync.RWMutex
-	predictorReg = make(map[string]PredictorFactory)
-)
+// Matcher is the paper's DFSM prefix matcher (§3.1, Figures 7-9), the
+// "dfsm" predictor: it tracks the matching prefixes of a set of hot data
+// streams with a single DFSM and, when a stream's head completes, returns
+// the remaining stream addresses to prefetch.
+type Matcher = predict.Matcher
 
-// RegisterPredictor adds a named predictor implementation to the registry.
-// Registering a name twice panics: the registry is process-global and a
-// silent override would re-route every service that selected the name.
-// Tests registering throwaway predictors should use distinct names.
-func RegisterPredictor(name string, f PredictorFactory) {
-	if name == "" || f == nil {
-		panic("hotprefetch: RegisterPredictor needs a name and a factory")
-	}
-	predictorMu.Lock()
-	defer predictorMu.Unlock()
-	if _, dup := predictorReg[name]; dup {
-		panic(fmt.Sprintf("hotprefetch: predictor %q already registered", name))
-	}
-	predictorReg[name] = f
+// NewMatcher builds the combined prefix-matching DFSM for the given streams.
+// headLen is the prefix length that must match before prefetching is
+// initiated; the paper finds 2 best (§4.3). Streams too short to have a
+// prefetchable tail are ignored.
+func NewMatcher(streams []Stream, headLen int) (*Matcher, error) {
+	return predict.NewMatcher(streams, headLen)
 }
+
+// RegisterPredictor adds a named predictor implementation to the
+// process-global registry; registering a name twice panics.
+func RegisterPredictor(name string, f PredictorFactory) { predict.Register(name, f) }
 
 // NewPredictor builds a trained instance of the named predictor.
 func NewPredictor(name string, streams []Stream, headLen int) (Predictor, error) {
-	predictorMu.RLock()
-	f := predictorReg[name]
-	predictorMu.RUnlock()
-	if f == nil {
-		return nil, fmt.Errorf("hotprefetch: unknown predictor %q (registered: %v)",
-			name, PredictorNames())
-	}
-	return f(streams, headLen)
-}
-
-// predictorRegistered reports whether name is in the registry.
-func predictorRegistered(name string) bool {
-	predictorMu.RLock()
-	defer predictorMu.RUnlock()
-	return predictorReg[name] != nil
+	return predict.New(name, streams, headLen)
 }
 
 // PredictorNames returns the registered predictor names, sorted.
-func PredictorNames() []string {
-	predictorMu.RLock()
-	defer predictorMu.RUnlock()
-	names := make([]string, 0, len(predictorReg))
-	for n := range predictorReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func PredictorNames() []string { return predict.Names() }
+
+func predictorRegistered(name string) bool { return slices.Contains(predict.Names(), name) }
 
 // DefaultPredictor is the registry name of the paper's DFSM prefix matcher,
 // the default everywhere a predictor is selectable.
 const DefaultPredictor = "dfsm"
-
-func init() {
-	RegisterPredictor(DefaultPredictor, func(streams []Stream, headLen int) (Predictor, error) {
-		return NewMatcher(streams, headLen)
-	})
-	RegisterPredictor("markov", func(streams []Stream, headLen int) (Predictor, error) {
-		p, err := markov.New(toMarkovStreams(streams), markov.Config{})
-		if err != nil {
-			return nil, err
-		}
-		return &trackedPredictor{observe: p.Observe, reset: p.Reset}, nil
-	})
-	RegisterPredictor("stride", func(streams []Stream, headLen int) (Predictor, error) {
-		p, err := stride.New(toStrideStreams(streams), stride.Config{})
-		if err != nil {
-			return nil, err
-		}
-		return &trackedPredictor{observe: p.Observe, reset: p.Reset}, nil
-	})
-}
-
-func toMarkovStreams(streams []Stream) []markov.Stream {
-	out := make([]markov.Stream, len(streams))
-	for i, s := range streams {
-		out[i] = markov.Stream{Refs: toRefs(s.Refs), Heat: s.Heat}
-	}
-	return out
-}
-
-func toStrideStreams(streams []Stream) []stride.Stream {
-	out := make([]stride.Stream, len(streams))
-	for i, s := range streams {
-		out[i] = stride.Stream{Refs: toRefs(s.Refs), Heat: s.Heat}
-	}
-	return out
-}
-
-func toRefs(rs []Ref) []ref.Ref {
-	out := make([]ref.Ref, len(rs))
-	for i, r := range rs {
-		out[i] = ref.Ref{PC: r.PC, Addr: r.Addr}
-	}
-	return out
-}
-
-// trackedPredictor adapts an internal predictor core (markov, stride) to the
-// Predictor interface, adding the same FIFO-window accuracy ledger the DFSM
-// matcher keeps (see internal/dfsm's hitTracker): observation is credited
-// before the core's new prefetches issue, so a reference never hits a
-// prefetch triggered by itself.
-type trackedPredictor struct {
-	observe func(ref.Ref) ([]uint64, int)
-	reset   func()
-	tracker *predTracker
-}
-
-func (t *trackedPredictor) Observe(r Ref) (prefetch []uint64, comparisons int) {
-	prefetch, comparisons = t.observe(ref.Ref{PC: r.PC, Addr: r.Addr})
-	if t.tracker != nil {
-		t.tracker.observeThenIssue(r.Addr, prefetch)
-	}
-	return prefetch, comparisons
-}
-
-func (t *trackedPredictor) Reset() { t.reset() }
-
-func (t *trackedPredictor) EnableAccuracyTracking(window int) {
-	if window <= 0 {
-		window = 4096
-	}
-	t.tracker = newPredTracker(window)
-}
-
-func (t *trackedPredictor) AccuracyCounters() (issued, hits uint64) {
-	if t.tracker == nil {
-		return 0, 0
-	}
-	return t.tracker.issued, t.tracker.hits
-}
-
-func (t *trackedPredictor) AccuracyBooks() (issued, hits, outstanding, dropped uint64) {
-	if t.tracker == nil {
-		return 0, 0, 0, 0
-	}
-	tr := t.tracker
-	return tr.issued, tr.hits, uint64(len(tr.set)), tr.evicted + tr.coalesced
-}
-
-// predTracker mirrors internal/dfsm's hitTracker — the conformance suite
-// pins the two to identical ledger semantics so per-predictor accuracy
-// numbers are comparable.
-type predTracker struct {
-	set       map[uint64]struct{}
-	fifo      []uint64
-	head      int
-	issued    uint64
-	hits      uint64
-	evicted   uint64
-	coalesced uint64
-}
-
-func newPredTracker(window int) *predTracker {
-	return &predTracker{
-		set:  make(map[uint64]struct{}, window),
-		fifo: make([]uint64, 0, window),
-	}
-}
-
-func (t *predTracker) observeThenIssue(addr uint64, issued []uint64) {
-	if _, ok := t.set[addr]; ok {
-		t.hits++
-		delete(t.set, addr)
-	}
-	if len(issued) == 0 {
-		return
-	}
-	t.issued += uint64(len(issued))
-	for _, a := range issued {
-		if _, ok := t.set[a]; ok {
-			t.coalesced++
-			continue
-		}
-		if len(t.fifo) < cap(t.fifo) {
-			t.fifo = append(t.fifo, a)
-		} else {
-			if old := t.fifo[t.head]; old != a {
-				if _, live := t.set[old]; live {
-					delete(t.set, old)
-					t.evicted++
-				}
-			}
-			t.fifo[t.head] = a
-			t.head++
-			if t.head == len(t.fifo) {
-				t.head = 0
-			}
-		}
-		t.set[a] = struct{}{}
-	}
-}

@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hotprefetch/internal/ref"
 	"hotprefetch/internal/tracefile"
 )
 
@@ -451,12 +450,11 @@ func (svc *Service) Stats() ServiceStats {
 // decodeBufs is one publish's resident decoding state, pooled across
 // requests so sustained ingest allocates no per-chunk buffers.
 type decodeBufs struct {
-	raw   []ref.Ref
-	batch []Ref
+	refs []Ref
 }
 
 var decodePool = sync.Pool{New: func() any {
-	return &decodeBufs{raw: make([]ref.Ref, publishChunk), batch: make([]Ref, publishChunk)}
+	return &decodeBufs{refs: make([]Ref, publishChunk)}
 }}
 
 // Handler returns the service's HTTP API:
@@ -543,12 +541,9 @@ func (svc *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		svc.publishedRefs.Add(accepted)
 	}()
 	for {
-		n, derr := dec.Next(bufs.raw)
-		for i := 0; i < n; i++ {
-			bufs.batch[i] = Ref{PC: bufs.raw[i].PC, Addr: bufs.raw[i].Addr}
-		}
+		n, derr := dec.Next(bufs.refs)
 		if n > 0 {
-			if perr := t.sp.PublishBatch(stream, bufs.batch[:n]); perr != nil {
+			if perr := t.sp.PublishBatch(stream, bufs.refs[:n]); perr != nil {
 				// The tenant was evicted (or the service closed) mid-publish;
 				// nothing else returns an error from the profile's batch path.
 				http.Error(w, fmt.Sprintf("tenant %q evicted during publish after %d refs: %v",
@@ -571,8 +566,8 @@ func (svc *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	svc.publishes.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(ingestResult{
-		Tenant:     key,
-		Accepted:   accepted,
+		Tenant:   key,
+		Accepted: accepted,
 		// The deferred accounting hasn't run yet; fold this publish in so the
 		// client sees a cumulative count that includes it.
 		TenantRefs: t.published.Load() + accepted,

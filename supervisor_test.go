@@ -3,6 +3,7 @@ package hotprefetch
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -321,6 +322,45 @@ func TestSupervisorConfigValidate(t *testing.T) {
 	}
 	if sp.Stats().Supervisor != nil {
 		t.Fatal("failed Supervise still attached a supervisor")
+	}
+}
+
+// TestSuperviseKeepsExistingAccuracyBooks attaches a supervisor to a matcher
+// that is already tracking accuracy. Supervise enables tracking
+// unconditionally; that must keep the books the matcher has earned, or the
+// cumulative counters the supervisor's windows difference would go
+// backwards.
+func TestSuperviseKeepsExistingAccuracyBooks(t *testing.T) {
+	trace := phaseTrace(1, 200)
+	prof := NewProfile()
+	prof.AddBatch(trace)
+	streams := prof.HotStreams(AnalysisConfig{MinLen: 2, MaxLen: 100, MinCoverage: 0.05})
+	for _, name := range PredictorNames() {
+		if strings.HasPrefix(name, "test-") {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			cm, err := NewConcurrentPredictor(name, streams, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cm.EnableAccuracyTracking(0)
+			observeAll(cm, trace)
+			issued, hits := cm.AccuracyCounters()
+			if issued == 0 {
+				t.Fatalf("%s issued no prefetches on its own training trace", name)
+			}
+			sp := NewShardedProfile(1)
+			defer sp.Close()
+			sup, err := Supervise(sp, cm, SupervisorConfig{Predictor: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sup.Close()
+			if i, h := cm.AccuracyCounters(); i != issued || h != hits {
+				t.Fatalf("counters after Supervise = (%d, %d), want (%d, %d)", i, h, issued, hits)
+			}
+		})
 	}
 }
 
