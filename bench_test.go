@@ -132,7 +132,8 @@ func BenchmarkAblationAnalysis(b *testing.B) {
 }
 
 // BenchmarkExtensionHardware compares the software scheme against the §5.1
-// hardware prefetchers (stride and Markov correlation) on each benchmark.
+// hardware prefetchers (stride, next-line and Markov correlation) on each
+// benchmark, and measures the stride-complement hybrid (§4.3).
 func BenchmarkExtensionHardware(b *testing.B) {
 	for _, p := range workload.Catalog() {
 		p := p
@@ -147,6 +148,7 @@ func BenchmarkExtensionHardware(b *testing.B) {
 				b.ReportMetric(r.NextLineOverhead, "nextline-pct")
 				b.ReportMetric(r.MarkovOverhead, "markov-pct")
 				b.ReportMetric(r.DynOverhead, "dynpref-pct")
+				b.ReportMetric(r.HybridOverhead, "hybrid-pct")
 			}
 		})
 	}
@@ -207,23 +209,6 @@ func BenchmarkAblationScheduling(b *testing.B) {
 				}
 				b.ReportMetric(results[0].Overhead, "overhead-pct")
 				b.ReportMetric(float64(results[0].Dropped), "dropped")
-			}
-		})
-	}
-}
-
-// BenchmarkExtensionHybrid measures the stride-complement hybrid (§4.3).
-func BenchmarkExtensionHybrid(b *testing.B) {
-	for _, p := range []workload.Params{workload.Mcf(), workload.Vpr()} {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results, err := experiment.HybridComparison([]workload.Params{p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(results[0].Dyn, "dyn-pct")
-				b.ReportMetric(results[0].Hybrid, "hybrid-pct")
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"hotprefetch/internal/baseline"
 	"hotprefetch/internal/opt"
 	"hotprefetch/internal/workload"
 )
@@ -97,54 +96,6 @@ func AblationScheduling(p workload.Params, chunks []int) ([]ScheduleResult, erro
 			Dropped:         res.Cache.PrefetchDrops,
 			LateStallCycles: res.Cache.LateStallCycles,
 			UsefulRatio:     useful,
-		})
-	}
-	return out, nil
-}
-
-// HybridResult compares dynamic prefetching alone against dynamic
-// prefetching with a stride prefetcher running beside it — the paper's
-// suggestion that "a stride-based prefetcher could complement our scheme by
-// prefetching data address sequences that do not qualify as hot data
-// streams" (§4.3).
-type HybridResult struct {
-	Name   string
-	Dyn    float64
-	Hybrid float64
-}
-
-// HybridComparison runs each benchmark with and without the complementary
-// stride prefetcher attached to the cache during the dynamic prefetching
-// run.
-func HybridComparison(params []workload.Params) ([]HybridResult, error) {
-	if params == nil {
-		params = workload.Catalog()
-	}
-	cache := workload.CacheConfig()
-	out := make([]HybridResult, 0, len(params))
-	for _, p := range params {
-		inst := workload.Build(p)
-		base, err := opt.RunBaseline(inst.NewMachine(cache, false))
-		if err != nil {
-			return nil, fmt.Errorf("%s baseline: %w", p.Name, err)
-		}
-
-		dyn, err := opt.Run(inst.NewMachine(cache, true), OptConfig(opt.ModeDynPref))
-		if err != nil {
-			return nil, fmt.Errorf("%s dyn: %w", p.Name, err)
-		}
-
-		mHybrid := inst.NewMachine(cache, true)
-		baseline.NewStride(mHybrid.Cache, 256, 2)
-		hyb, err := opt.Run(mHybrid, OptConfig(opt.ModeDynPref))
-		if err != nil {
-			return nil, fmt.Errorf("%s hybrid: %w", p.Name, err)
-		}
-
-		out = append(out, HybridResult{
-			Name:   p.Name,
-			Dyn:    pct(dyn.ExecCycles, base),
-			Hybrid: pct(hyb.ExecCycles, base),
 		})
 	}
 	return out, nil

@@ -96,14 +96,15 @@ func RenderHardware(results []experiment.HardwareResult) string {
 	var b strings.Builder
 	b.WriteString("Hardware prefetcher comparison (% of baseline, negative = speedup)\n")
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tstride\tnext-line\tmarkov\tdyn-pref")
+	fmt.Fprintln(w, "benchmark\tstride\tnext-line\tmarkov\tdyn-pref\tdyn+stride")
 	for _, r := range results {
-		fmt.Fprintf(w, "%s\t%+.1f%%\t%+.1f%%\t%+.1f%%\t%+.1f%%\n",
+		fmt.Fprintf(w, "%s\t%+.1f%%\t%+.1f%%\t%+.1f%%\t%+.1f%%\t%+.1f%%\n",
 			r.Name, r.StrideOverhead, r.NextLineOverhead,
-			r.MarkovOverhead, r.DynOverhead)
+			r.MarkovOverhead, r.DynOverhead, r.HybridOverhead)
 	}
 	w.Flush()
-	b.WriteString("(paper §4.3: stride prefetching cannot cover hot data stream addresses)\n")
+	b.WriteString("(paper §4.3: stride prefetching cannot cover hot data stream addresses,\n")
+	b.WriteString(" but \"could complement our scheme\" on non-stream addresses: dyn+stride)\n")
 	return b.String()
 }
 
@@ -138,20 +139,6 @@ func RenderScheduling(name string, results []experiment.ScheduleResult) string {
 	}
 	w.Flush()
 	b.WriteString("(paper §4.3: \"more intelligent prefetch scheduling could produce larger benefits\")\n")
-	return b.String()
-}
-
-// RenderHybrid prints the stride-complement study (paper §4.3).
-func RenderHybrid(results []experiment.HybridResult) string {
-	var b strings.Builder
-	b.WriteString("Stride-complement hybrid (% of baseline, negative = speedup)\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tdyn-pref\tdyn-pref + stride")
-	for _, r := range results {
-		fmt.Fprintf(w, "%s\t%+.1f%%\t%+.1f%%\n", r.Name, r.Dyn, r.Hybrid)
-	}
-	w.Flush()
-	b.WriteString("(paper §4.3: a stride prefetcher \"could complement our scheme\" on non-stream addresses)\n")
 	return b.String()
 }
 

@@ -94,9 +94,9 @@ func TestRenderHeadLen(t *testing.T) {
 
 func TestRenderHardware(t *testing.T) {
 	out := RenderHardware([]experiment.HardwareResult{
-		{Name: "mcf", StrideOverhead: -3.5, MarkovOverhead: -15, DynOverhead: -17},
+		{Name: "mcf", StrideOverhead: -3.5, MarkovOverhead: -15, DynOverhead: -17, HybridOverhead: -22.7},
 	})
-	for _, want := range []string{"mcf", "-3.5%", "-15.0%", "-17.0%", "stride"} {
+	for _, want := range []string{"mcf", "-3.5%", "-15.0%", "-17.0%", "stride", "dyn+stride", "-22.7%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
@@ -120,17 +120,6 @@ func TestRenderScheduling(t *testing.T) {
 		{Chunk: 4, Overhead: -10.6, Dropped: 246780, UsefulRatio: 0.69},
 	})
 	for _, want := range []string{"all-at-match", "4/check", "-10.6%", "996741"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestRenderHybrid(t *testing.T) {
-	out := RenderHybrid([]experiment.HybridResult{
-		{Name: "mcf", Dyn: -17.2, Hybrid: -22.7},
-	})
-	for _, want := range []string{"mcf", "-17.2%", "-22.7%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
