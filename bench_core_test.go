@@ -162,3 +162,36 @@ func BenchmarkPredictorObserve(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkConcurrentObserve measures one observed reference through the
+// production detection path: ConcurrentMatcher.Observe, with its step lock
+// and observation count, over the default DFSM — untracked, and with the
+// accuracy ledger on as the Supervisor runs it. One warm-up pass over the
+// trace before timing lets the ledger reach its steady-state size.
+func BenchmarkConcurrentObserve(b *testing.B) {
+	streams := coreStreams(b)
+	trace := coreTrace(1 << 14)
+	for _, tracked := range []bool{false, true} {
+		name := "untracked"
+		if tracked {
+			name = "tracked"
+		}
+		b.Run(name, func(b *testing.B) {
+			cm, err := NewConcurrentMatcher(streams, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if tracked {
+				cm.EnableAccuracyTracking(0)
+			}
+			for _, r := range trace {
+				cm.Observe(r)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cm.Observe(trace[i&(1<<14-1)])
+			}
+		})
+	}
+}

@@ -405,12 +405,26 @@ func (c *Capture) recycleBatch(batch []ref.Ref) {
 	}
 }
 
-// encodeBuffer is a bytes.Buffer usable directly as a request body — the
-// no-op Close lets publish hand the pooled buffer to the transport without
-// wrapping it in a fresh NopCloser allocation per request.
-type encodeBuffer struct{ bytes.Buffer }
+// encodeBuffer is a bytes.Buffer usable directly as a request body, so
+// publish hands the pooled buffer to the transport without wrapping it in
+// a fresh NopCloser allocation per request.
+type encodeBuffer struct {
+	bytes.Buffer
+	pool *sync.Pool
+	lent atomic.Bool // handed to a request and not yet closed
+}
 
-func (*encodeBuffer) Close() error { return nil }
+// Close returns the buffer to its pool. The transport closes a request
+// body once it has finished writing it, which can be after Do has already
+// returned the response (http.RoundTripper's contract), so Close is the
+// first point at which the buffer may be reused. Only the first Close of a
+// loan recycles it: a second would put one buffer in the pool twice.
+func (b *encodeBuffer) Close() error {
+	if b.lent.CompareAndSwap(true, false) {
+		b.pool.Put(b)
+	}
+	return nil
+}
 
 var octetStream = []string{"application/octet-stream"}
 
@@ -472,13 +486,16 @@ func backoffSleep(base time.Duration, attempt int) {
 func (c *Capture) tryPublish(batch []ref.Ref) (retryable bool, err error) {
 	body, _ := c.bodyPool.Get().(*encodeBuffer)
 	if body == nil {
-		body = new(encodeBuffer)
+		body = &encodeBuffer{pool: &c.bodyPool}
 	}
 	body.Reset()
 	if err := tracefile.Write(&body.Buffer, batch); err != nil {
 		c.bodyPool.Put(body)
 		return false, fmt.Errorf("client: encode: %w", err)
 	}
+	// From here the transport owns the buffer; its Close recycles it.
+	body.lent.Store(true)
+
 	u := *c.url // per-request copy; concurrent publishes must not share one URL
 	req := &http.Request{
 		Method:        http.MethodPost,
@@ -490,11 +507,8 @@ func (c *Capture) tryPublish(batch []ref.Ref) (retryable bool, err error) {
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		// An aborted round trip may leave the transport still draining the
-		// body; let this buffer go to the collector instead of the pool.
 		return true, fmt.Errorf("client: publish: %w", err)
 	}
-	defer c.bodyPool.Put(body)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var msg [256]byte

@@ -362,10 +362,13 @@ func TestCaptureTenantMismatch(t *testing.T) {
 
 // stubTransport answers every publish with 200 without a network or a
 // server, so allocation measurements see only the client's own work plus
-// net/http's fixed per-request cost.
+// net/http's fixed per-request cost. Like every http.RoundTripper it
+// closes the request body, which is what returns the encode buffer to the
+// capture's pool.
 type stubTransport struct{}
 
-func (stubTransport) RoundTrip(*http.Request) (*http.Response, error) {
+func (stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	req.Body.Close()
 	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: http.NoBody}, nil
 }
 

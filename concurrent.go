@@ -19,9 +19,9 @@ import (
 // lock-protected store, so Observe never waits on a retraining build and
 // never sees a torn or half-compiled table — the paper's §5
 // de-optimize/re-optimize transition without a stop-the-world on the
-// detection path. The step mutex only guards the predictor's rolling match
-// state; the common case is a short critical section around an
-// array-indexed Step.
+// detection path. The step mutex guards only the predictor's rolling match
+// state and the observation count; the common case is a short critical
+// section around an array-indexed Step and one plain increment.
 //
 // All callers share one match state — observations interleave into a single
 // logical reference stream, exactly as if one goroutine called Observe with
@@ -30,7 +30,7 @@ import (
 type ConcurrentMatcher struct {
 	mu       sync.Mutex // serializes stepping of the current predictor
 	cur      atomic.Pointer[predEntry]
-	observed atomic.Uint64
+	observed uint64 // guarded by mu, bumped in the step's critical section
 	swaps    atomic.Uint64
 
 	// buildMu serializes Swap against concurrent Swap calls: two racing
@@ -134,8 +134,8 @@ func (c *ConcurrentMatcher) bookFor(name string) *predictorBook {
 func (c *ConcurrentMatcher) Observe(r Ref) (prefetch []uint64, comparisons int) {
 	c.mu.Lock()
 	prefetch, comparisons = c.cur.Load().p.Observe(r)
+	c.observed++
 	c.mu.Unlock()
-	c.observed.Add(1)
 	return prefetch, comparisons
 }
 
@@ -245,7 +245,11 @@ func (c *ConcurrentMatcher) AccuracyByPredictor() []PredictorAccuracy {
 
 // Observations returns the number of references observed so far, for service
 // stats (see ShardedProfile.AttachMatcher).
-func (c *ConcurrentMatcher) Observations() uint64 { return c.observed.Load() }
+func (c *ConcurrentMatcher) Observations() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.observed
+}
 
 // Swaps returns the number of Swap retrainings published so far.
 func (c *ConcurrentMatcher) Swaps() uint64 { return c.swaps.Load() }

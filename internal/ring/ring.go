@@ -8,10 +8,7 @@
 // the queue is race-detector clean without locks.
 package ring
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // pad keeps the producer- and consumer-owned fields on separate cache lines
 // so the two sides do not false-share.
@@ -76,14 +73,6 @@ func (q *SPSC[T]) TryPush(v T) bool {
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1)
 	return true
-}
-
-// Push enqueues v, spinning (with scheduler yields) while the ring is full.
-// Producer side only.
-func (q *SPSC[T]) Push(v T) {
-	for !q.TryPush(v) {
-		runtime.Gosched()
-	}
 }
 
 // PushBatch enqueues up to len(src) elements and returns how many fit,

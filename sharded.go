@@ -330,8 +330,16 @@ type ProfileShard struct {
 	// prodLock serializes PublishBatch callers that hash to this shard: the
 	// SPSC ring and the producer-local Sample/burst state admit one
 	// producer at a time, and stream-hashed placement cannot guarantee two
-	// goroutines never pick the same shard.
-	prodLock atomic.Bool
+	// goroutines never pick the same shard. A mutex rather than a spin
+	// flag, so a waiter behind a holder parked on a full ring sleeps too.
+	prodLock sync.Mutex
+
+	// consWake and prodWake park the two ends of the ring instead of
+	// spinning: the consumer on an empty ring, a Block producer on a full
+	// one. The other end wakes a parked side after each push (pop); see
+	// waker for the protocol.
+	consWake waker
+	prodWake waker
 
 	mu       sync.Mutex // guards retained
 	retained []Stream   // hot streams extracted at grammar resets
@@ -399,6 +407,8 @@ func newShardedProfile(cfg ShardedConfig) *ShardedProfile {
 			maxSymbols: cfg.MaxGrammarSymbols,
 			cycleCfg:   cfg.CycleAnalysis,
 			prepassOn:  cfg.Prepass.Mode == PrepassOn,
+			consWake:   newWaker(),
+			prodWake:   newWaker(),
 			stop:       make(chan struct{}),
 			done:       make(chan struct{}),
 		}
@@ -487,11 +497,12 @@ func (s *ProfileShard) safeAnalyze(p *Profile) (streams []Stream, err error) {
 }
 
 // analyzeIsolated runs safeAnalyze, enforcing timeout when positive by
-// running the analysis on a helper goroutine. On a deadline overrun the
-// helper is abandoned together with the profile (abandoned == true): the
-// runaway analysis still reads p, so p must never be recycled; when the
-// helper eventually finishes, its send lands in the buffered channel and
-// both are garbage collected.
+// running the analysis on a helper goroutine. An analysis that took longer
+// than timeout fails with ErrAnalysisTimeout. If it is still running at the
+// deadline, the helper is abandoned together with the profile (abandoned
+// == true): the runaway analysis still reads p, so p must never be
+// recycled; when the helper eventually finishes, its send lands in the
+// buffered channel and both are garbage collected.
 func (s *ProfileShard) analyzeIsolated(p *Profile, timeout time.Duration) (streams []Stream, err error, abandoned bool) {
 	if timeout <= 0 {
 		streams, err = s.safeAnalyze(p)
@@ -500,20 +511,29 @@ func (s *ProfileShard) analyzeIsolated(p *Profile, timeout time.Duration) (strea
 	type result struct {
 		streams []Stream
 		err     error
+		took    time.Duration
 	}
 	done := make(chan result, 1)
 	go func() {
+		start := time.Now()
 		st, err := s.safeAnalyze(p)
-		done <- result{st, err}
+		done <- result{st, err, time.Since(start)}
 	}()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case r := <-done:
-		return r.streams, r.err, false
+		// A waiter starved of CPU can find the helper finished and the
+		// timer fired at once, and select picks either; the helper's own
+		// clock decides, so an overrun never counts as a completed cycle.
+		// The helper is done, so the profile need not be abandoned.
+		if r.took <= timeout {
+			return r.streams, r.err, false
+		}
 	case <-timer.C:
-		return nil, fmt.Errorf("hotprefetch: shard %d analysis exceeded %v: %w", s.idx, timeout, ErrAnalysisTimeout), true
+		abandoned = true
 	}
+	return nil, fmt.Errorf("hotprefetch: shard %d analysis exceeded %v: %w", s.idx, timeout, ErrAnalysisTimeout), abandoned
 }
 
 // recycle resets a detached profile and offers it back as a spare.
@@ -640,8 +660,11 @@ func (s *ProfileShard) consumeLoop() {
 	for {
 		n := s.q.PopBatch(batch[:])
 		if n == 0 {
-			select {
-			case <-s.stop:
+			s.consWake.parked.Store(true)
+			if n = s.q.PopBatch(batch[:]); n == 0 {
+				if s.consWake.park(s.stop) {
+					continue
+				}
 				// Drain what raced in before the stop signal.
 				for {
 					n := s.q.PopBatch(batch[:])
@@ -650,13 +673,65 @@ func (s *ProfileShard) consumeLoop() {
 					}
 					s.apply(batch[:n])
 				}
-			default:
-				runtime.Gosched()
-				continue
 			}
+			s.consWake.parked.Store(false)
 		}
+		// Wake a Block producer parked on the full ring before compressing,
+		// so it refills the freed slots while this batch is applied.
+		s.prodWake.wake()
 		s.apply(batch[:n])
 	}
+}
+
+// waker parks one end of a shard's ring instead of letting it spin. The
+// parking side raises parked, polls the ring once more, and only if that
+// poll still finds nothing to do blocks on ch (or the shard's stop
+// channel). The other side, after each successful push (pop), loads parked
+// and only when it is set claims it with a CAS and drops a token into the
+// one-slot channel without blocking — so the common case costs the waker
+// one plain load.
+//
+// No wakeup is lost. The parker stores parked then loads the ring index;
+// the waker stores the ring index then loads parked. Go's atomics are
+// sequentially consistent, so one of the two stores precedes the other
+// side's load: either the re-poll sees the new index, or the waker sees
+// the flag. A token left behind by a waker that claimed the flag while the
+// re-poll succeeded costs one spurious wakeup later, never a missed one.
+type waker struct {
+	parked atomic.Bool
+	ch     chan struct{}
+}
+
+func newWaker() waker { return waker{ch: make(chan struct{}, 1)} }
+
+// wake releases the parked side, if any.
+func (w *waker) wake() {
+	if w.parked.Load() {
+		w.release()
+	}
+}
+
+func (w *waker) release() {
+	if w.parked.CompareAndSwap(true, false) {
+		select {
+		case w.ch <- struct{}{}:
+		default: // a token is already pending
+		}
+	}
+}
+
+// park blocks after a raised flag and a failed re-poll until a wake token
+// arrives (true) or stop closes (false). Either way the flag is lowered:
+// the caller polls again before it could sleep again.
+func (w *waker) park(stop <-chan struct{}) bool {
+	woken := true
+	select {
+	case <-w.ch:
+	case <-stop:
+		woken = false
+	}
+	w.parked.Store(false)
+	return woken
 }
 
 // compressLatencyMinBatch gates per-batch CompressLatency observation:
@@ -823,21 +898,30 @@ func (s *ProfileShard) noteCycleStall(d time.Duration) {
 }
 
 // tryPush pushes one reference, treating the ring as full when the fault
-// injector simulates pressure.
+// injector simulates pressure, and wakes a parked consumer on success.
 func (s *ProfileShard) tryPush(r Ref) bool {
 	if s.inj != nil && s.inj.RingFull(s.idx) {
 		return false
 	}
-	return s.q.TryPush(r)
+	if !s.q.TryPush(r) {
+		return false
+	}
+	s.consWake.wake()
+	return true
 }
 
 // tryPushBatch pushes a run of references, treating the ring as full when
-// the fault injector simulates pressure.
+// the fault injector simulates pressure, and wakes a parked consumer when
+// any landed.
 func (s *ProfileShard) tryPushBatch(refs []Ref) int {
 	if s.inj != nil && s.inj.RingFull(s.idx) {
 		return 0
 	}
-	return s.q.PushBatch(refs)
+	n := s.q.PushBatch(refs)
+	if n > 0 {
+		s.consWake.wake()
+	}
+	return n
 }
 
 // retainedStreams returns a copy of the streams banked by grammar cycles.
@@ -985,8 +1069,20 @@ func (s *ProfileShard) pushBatchPolicy(refs []Ref) error {
 					s.pushed.Add(uint64(pushed))
 					return ErrClosed
 				}
-				runtime.Gosched()
-				continue
+				if s.inj != nil {
+					// An injected full ring has no pop that would wake a
+					// parked producer: yield and retry instead.
+					runtime.Gosched()
+					continue
+				}
+				// Park until the consumer frees slots (or Close), with the
+				// same raise-then-re-poll handshake as the consumer.
+				s.prodWake.parked.Store(true)
+				if n = s.tryPushBatch(refs[pushed:]); n == 0 {
+					s.prodWake.park(s.stop)
+					continue
+				}
+				s.prodWake.parked.Store(false)
 			}
 			pushed += n
 		}
@@ -1069,11 +1165,9 @@ func mix64(x uint64) uint64 {
 // shard, so the common cost is one uncontended CAS.
 func (sp *ShardedProfile) PublishBatch(stream uint64, refs []Ref) error {
 	s := sp.shards[mix64(stream)%uint64(len(sp.shards))]
-	for !s.prodLock.CompareAndSwap(false, true) {
-		runtime.Gosched()
-	}
+	s.prodLock.Lock()
 	err := s.AddBatch(refs)
-	s.prodLock.Store(false)
+	s.prodLock.Unlock()
 	return err
 }
 
@@ -1137,8 +1231,9 @@ func (sp *ShardedProfile) Close() {
 	if !sp.closed.CompareAndSwap(false, true) {
 		return
 	}
-	// Fail producers fast first so a Block Add spinning against a full ring
-	// observes the close instead of spinning against a stopped consumer.
+	// Fail producers fast first: closing stop then releases every parked
+	// consumer and Block producer, and a producer released on a full ring
+	// observes the close instead of re-parking against a stopped consumer.
 	for _, s := range sp.shards {
 		s.closed.Store(true)
 	}
